@@ -34,7 +34,7 @@ type benchEntry struct {
 	When string `json:"when"`
 
 	// Note is free-form context for the data point: a commit id, a
-	// change description ("calendar-queue scheduler").
+	// change description ("single-heap scheduler").
 	Note string `json:"note,omitempty"`
 
 	Scale    string `json:"scale"`
@@ -49,10 +49,14 @@ type benchEntry struct {
 	Scenarios map[string]benchScenario `json:"scenarios"`
 
 	// SchedBench is the scheduler microbenchmark data point
-	// (BenchmarkSchedulerInsertPop, calendar backend, 100k pending)
-	// recorded by scripts/bench.sh. lifebench itself never sets it, but
-	// the field must round-trip: appendBenchEntry rewrites the whole
-	// file, and an unknown field would be silently dropped.
+	// (BenchmarkSchedulerInsertPop/paper-128: one event-loop step under
+	// a load shaped like the paper's 128-member run) recorded by
+	// scripts/bench.sh. Points before the single-heap scheduler measured
+	// an insert+pop cycle at 100k uniformly random pending events
+	// instead, so they do not compare with later ones. lifebench itself
+	// never sets it, but the field must round-trip: appendBenchEntry
+	// rewrites the whole file, and an unknown field would be silently
+	// dropped.
 	SchedBench *microBench `json:"sched_bench,omitempty"`
 
 	// CodecBench is the wire-codec microbenchmark data point

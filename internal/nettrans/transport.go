@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"lifeguard/internal/bufpool"
@@ -30,7 +31,15 @@ const (
 
 	// ioTimeout bounds individual stream reads/writes.
 	ioTimeout = 10 * time.Second
+
+	// portZeroAttempts bounds New's binds when port 0 is requested: the
+	// free UDP port the kernel picks can have its TCP twin in use, for
+	// example as the local port of an outgoing connection.
+	portZeroAttempts = 10
 )
+
+// listenTCP is net.ListenTCP, replaceable in tests.
+var listenTCP = net.ListenTCP
 
 // ErrPayloadTooLarge is returned by SendPacket for payloads that exceed
 // maxStreamMsg: a receiver would drop the connection unread, so the
@@ -60,13 +69,26 @@ type Transport struct {
 	wg sync.WaitGroup
 }
 
-// New binds a UDP socket and a TCP listener on bindAddr ("host:port";
-// port 0 picks the same free port for both when possible).
+// New binds a UDP socket and a TCP listener on bindAddr ("host:port").
+// With port 0 both get the same free port: when the TCP side of the
+// port the kernel picked for UDP is already in use, New closes the UDP
+// socket and tries again, up to portZeroAttempts times. An explicit
+// port that is taken fails at once.
 func New(bindAddr string) (*Transport, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", bindAddr)
 	if err != nil {
 		return nil, fmt.Errorf("nettrans: resolve %q: %w", bindAddr, err)
 	}
+	for attempt := 1; ; attempt++ {
+		t, err := bind(udpAddr, bindAddr)
+		if err == nil || udpAddr.Port != 0 || attempt == portZeroAttempts || !errors.Is(err, syscall.EADDRINUSE) {
+			return t, err
+		}
+	}
+}
+
+// bind makes one attempt at New's UDP socket and TCP listener pair.
+func bind(udpAddr *net.UDPAddr, bindAddr string) (*Transport, error) {
 	udp, err := net.ListenUDP("udp", udpAddr)
 	if err != nil {
 		return nil, fmt.Errorf("nettrans: listen udp %q: %w", bindAddr, err)
@@ -75,7 +97,7 @@ func New(bindAddr string) (*Transport, error) {
 	// serves both channels.
 	actual := udp.LocalAddr().(*net.UDPAddr)
 	tcpAddr := &net.TCPAddr{IP: actual.IP, Port: actual.Port}
-	tcp, err := net.ListenTCP("tcp", tcpAddr)
+	tcp, err := listenTCP("tcp", tcpAddr)
 	if err != nil {
 		udp.Close()
 		return nil, fmt.Errorf("nettrans: listen tcp %v: %w", tcpAddr, err)

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -297,4 +301,72 @@ func TestAdvertisedAddressUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.wait(t, 1, 2*time.Second)
+}
+
+// stubListenTCP replaces listenTCP for one test. fail decides, per call
+// (numbered from 1), whether the call fails with EADDRINUSE the way a
+// taken TCP port does; other calls bind for real. It returns the
+// addresses the failed calls were asked to bind.
+func stubListenTCP(t *testing.T, fail func(call int) bool) (calls *int, failed *[]*net.TCPAddr) {
+	t.Helper()
+	calls, failed = new(int), new([]*net.TCPAddr)
+	t.Cleanup(func() { listenTCP = net.ListenTCP })
+	listenTCP = func(network string, laddr *net.TCPAddr) (*net.TCPListener, error) {
+		*calls++
+		if fail(*calls) {
+			*failed = append(*failed, laddr)
+			return nil, &net.OpError{Op: "listen", Net: network, Addr: laddr, Err: os.NewSyscallError("bind", syscall.EADDRINUSE)}
+		}
+		return net.ListenTCP(network, laddr)
+	}
+	return calls, failed
+}
+
+func TestPortZeroRetriesWhenTCPTwinTaken(t *testing.T) {
+	calls, failed := stubListenTCP(t, func(call int) bool { return call <= 2 })
+	tr, err := New("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("New failed despite retries: %v", err)
+	}
+	defer tr.Close()
+	if *calls != 3 {
+		t.Fatalf("listen tcp called %d times, want 3", *calls)
+	}
+	// Each abandoned attempt must have released its UDP socket.
+	for _, a := range *failed {
+		u, err := net.ListenUDP("udp", &net.UDPAddr{IP: a.IP, Port: a.Port})
+		if err != nil {
+			t.Fatalf("UDP socket of a failed attempt still bound: %v", err)
+		}
+		u.Close()
+	}
+}
+
+func TestPortZeroRetriesAreBounded(t *testing.T) {
+	calls, _ := stubListenTCP(t, func(int) bool { return true })
+	if _, err := New("127.0.0.1:0"); !errors.Is(err, syscall.EADDRINUSE) {
+		t.Fatalf("err = %v, want EADDRINUSE", err)
+	}
+	if *calls != portZeroAttempts {
+		t.Fatalf("listen tcp called %d times, want %d", *calls, portZeroAttempts)
+	}
+}
+
+func TestExplicitPortTakenFailsAtOnce(t *testing.T) {
+	held, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	calls, _ := stubListenTCP(t, func(int) bool { return false })
+	_, err = New(held.Addr().String())
+	if *calls == 0 {
+		t.Skipf("the UDP twin of %v is taken too: %v", held.Addr(), err)
+	}
+	if !errors.Is(err, syscall.EADDRINUSE) || !strings.HasPrefix(err.Error(), "nettrans: listen tcp") {
+		t.Fatalf("err = %v, want a wrapped listen tcp EADDRINUSE", err)
+	}
+	if *calls != 1 {
+		t.Fatalf("listen tcp called %d times for an explicit port, want 1", *calls)
+	}
 }

@@ -358,3 +358,43 @@ func TestUniformLatencyBounds(t *testing.T) {
 }
 
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(7)) }
+
+// BenchmarkNetworkDeliver measures the full per-packet path — transmit,
+// delay draw, delivery event, service event, handler — across a mesh of
+// members.
+func BenchmarkNetworkDeliver(b *testing.B) {
+	sched := NewScheduler(time.Unix(0, 0))
+	net := NewNetwork(sched, Options{
+		Seed:        1,
+		Latency:     UniformLatency(200*time.Microsecond, 2*time.Millisecond),
+		ServiceTime: 50 * time.Microsecond,
+	})
+	const members = 16
+	ports := make([]*Port, members)
+	received := 0
+	for i := 0; i < members; i++ {
+		name := fmt.Sprintf("m%d", i)
+		p, err := net.Attach(name, func(string, []byte) { received++ })
+		if err != nil {
+			b.Fatal(err)
+		}
+		ports[i] = p
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := ports[i%members]
+		dst := fmt.Sprintf("m%d", (i+1+i/members)%members)
+		if err := src.SendPacket(dst, payload, false); err != nil {
+			b.Fatal(err)
+		}
+		if i%64 == 63 {
+			sched.RunFor(5 * time.Millisecond)
+		}
+	}
+	sched.RunFor(time.Second)
+	if received == 0 {
+		b.Fatal("no packets delivered")
+	}
+}

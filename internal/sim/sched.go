@@ -15,8 +15,7 @@ import (
 type Event struct {
 	// at is the event's virtual time in nanoseconds since the
 	// scheduler's epoch; seq is its schedule order, the same-instant
-	// tie-break. Together they are the total execution order, identical
-	// under every queue backend.
+	// tie-break. Together they are the total execution order.
 	at  int64
 	seq uint64
 
@@ -26,58 +25,27 @@ type Event struct {
 	fnArg func(any)
 	arg   any
 
-	cancelled bool
-	done      bool // ran, or discarded after cancellation
+	// q is the queue holding the event while it is pending, and nil
+	// once it has run or been stopped; index is its slot in q's heap.
+	// Together they let Stop remove the event at once.
+	q     *heapQueue
+	index int32
 
 	// pooled marks events owned by the scheduler's free list: scheduled
 	// through scheduleArg, never handed out, recycled after they run.
 	pooled bool
-
-	// index is the event's heap position, used only by the heap backend.
-	index int
 }
 
-// Stop cancels the event. It reports whether the event was still pending.
+// Stop cancels the event, removing it from the queue at once and
+// dropping its callback. It reports whether the event was still pending.
 func (e *Event) Stop() bool {
-	if e == nil || e.cancelled || e.done {
+	if e == nil || e.q == nil {
 		return false
 	}
-	e.cancelled = true
+	e.q.remove(int(e.index))
+	e.fn = nil
 	return true
 }
-
-// eventLess is the scheduler's total order: time, then schedule order.
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue is the pending-event set behind a Scheduler. push accepts
-// any event with at not before the last popped time; pop removes and
-// returns the earliest live event by (at, seq), discarding cancelled
-// events as it finds them, and returns nil when nothing is pending.
-// len includes cancelled events not yet discarded.
-type eventQueue interface {
-	push(e *Event)
-	pop() *Event
-	len() int
-}
-
-// Backend selects a Scheduler's pending-event queue implementation.
-type Backend int
-
-const (
-	// BackendCalendar is the default: a bucketed calendar queue (a
-	// timing wheel with a year check and automatic resizing), O(1)
-	// amortized insert and pop at simulator event densities.
-	BackendCalendar Backend = iota
-
-	// BackendHeap is the seed container/heap implementation, kept as
-	// the reference for differential tests and as a fallback.
-	BackendHeap
-)
 
 // Scheduler is a single-threaded discrete-event loop. All protocol logic
 // in a simulation runs inside its callbacks; nothing in this package is
@@ -85,7 +53,7 @@ const (
 type Scheduler struct {
 	epoch time.Time
 	now   int64 // ns since epoch
-	q     eventQueue
+	q     heapQueue
 	seq   uint64
 
 	// executed counts events run, for diagnostics and runaway guards.
@@ -95,33 +63,17 @@ type Scheduler struct {
 	free []*Event
 }
 
-// NewScheduler returns a scheduler whose virtual clock starts at start,
-// using the default calendar-queue backend.
+// NewScheduler returns a scheduler whose virtual clock starts at start.
 func NewScheduler(start time.Time) *Scheduler {
-	return NewSchedulerBackend(start, BackendCalendar)
-}
-
-// NewSchedulerBackend returns a scheduler on an explicit queue backend.
-// Every backend produces the identical execution order — (time, then
-// schedule order) — so simulations are byte-identical across backends;
-// the choice only affects wall-clock speed.
-func NewSchedulerBackend(start time.Time, b Backend) *Scheduler {
-	s := &Scheduler{epoch: start}
-	switch b {
-	case BackendHeap:
-		s.q = &heapQueue{}
-	default:
-		s.q = newCalendarQueue()
-	}
-	return s
+	return &Scheduler{epoch: start}
 }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.epoch.Add(time.Duration(s.now)) }
 
-// Len returns the number of pending events (including cancelled ones not
-// yet drained).
-func (s *Scheduler) Len() int { return s.q.len() }
+// Len returns the number of pending events. Stopped events are not
+// counted: Stop removes them from the queue.
+func (s *Scheduler) Len() int { return len(s.q.h) }
 
 // Executed returns the number of events run so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
@@ -173,35 +125,34 @@ func (s *Scheduler) scheduleArg(d time.Duration, fn func(any), arg any) {
 	s.q.push(e)
 }
 
-// runEvent executes a popped live event. Pooled events are recycled
-// before the callback runs, so a callback that schedules new work can
-// reuse the event it came from.
-func (s *Scheduler) runEvent(e *Event) {
-	e.done = true
+// runNext pops the earliest pending event, advances virtual time to it
+// and runs it. Pooled events are recycled before the callback runs, so
+// a callback that schedules new work can reuse the event it came from.
+// Other events drop their callback, so a handle kept after the event
+// has run does not keep the closure alive.
+func (s *Scheduler) runNext() {
+	e := s.q.remove(0)
+	s.now = e.at
+	s.executed++
 	if e.pooled {
 		fn, arg := e.fnArg, e.arg
-		e.fnArg, e.arg, e.done, e.cancelled = nil, nil, false, false
+		e.fnArg, e.arg = nil, nil
 		s.free = append(s.free, e)
 		fn(arg)
 		return
 	}
-	if e.fnArg != nil {
-		e.fnArg(e.arg)
-		return
-	}
-	e.fn()
+	fn := e.fn
+	e.fn = nil
+	fn()
 }
 
 // Step runs the next pending event, advancing virtual time to it. It
 // reports whether an event was run (false when the queue is empty).
 func (s *Scheduler) Step() bool {
-	e := s.q.pop()
-	if e == nil {
+	if len(s.q.h) == 0 {
 		return false
 	}
-	s.now = e.at
-	s.executed++
-	s.runEvent(e)
+	s.runNext()
 	return true
 }
 
@@ -209,20 +160,8 @@ func (s *Scheduler) Step() bool {
 // virtual clock to t.
 func (s *Scheduler) RunUntil(t time.Time) {
 	rel := int64(t.Sub(s.epoch))
-	for {
-		e := s.q.pop()
-		if e == nil {
-			break
-		}
-		if e.at > rel {
-			// Past the horizon: put it back. (at, seq) are unchanged, so
-			// the queue order is exactly as if it had never been popped.
-			s.q.push(e)
-			break
-		}
-		s.now = e.at
-		s.executed++
-		s.runEvent(e)
+	for len(s.q.h) > 0 && s.q.h[0].at <= rel {
+		s.runNext()
 	}
 	if s.now < rel {
 		s.now = rel

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Record one bench-trajectory data point in BENCH_scenarios.json: the
-# tracked microbenchmarks (scheduler insert+pop, wire encode, zero-copy
+# tracked microbenchmarks (scheduler step, wire encode, zero-copy
 # fan-out delivery, push-pull snapshot) plus a smoke -exp all run
 # through the shared worker pool. See the "Bench trajectory" section of
 # docs/LIFEBENCH.md for the entry format.
@@ -17,10 +17,10 @@ note=${1:-$(git rev-parse --short HEAD 2>/dev/null || echo untracked)}
 parallel=${PARALLEL:-2}
 
 read -r ns allocs < <(go test -run '^$' \
-    -bench 'BenchmarkSchedulerInsertPop/calendar/pending=100000$' \
+    -bench 'BenchmarkSchedulerInsertPop/paper-128$' \
     -benchmem -benchtime 1s ./internal/sim |
     awk '/^BenchmarkSchedulerInsertPop/ {ns=$3; allocs=$7} END {print ns, allocs}')
-echo "scheduler insert+pop @100k pending: ${ns} ns/op, ${allocs} allocs/op" >&2
+echo "scheduler step under a paper-128-shaped load: ${ns} ns/op, ${allocs} allocs/op" >&2
 
 read -r cns callocs < <(go test -run '^$' \
     -bench 'BenchmarkEncodeAllocs$' -benchmem -benchtime 1s . |
